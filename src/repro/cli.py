@@ -906,7 +906,6 @@ def _cmd_check(args) -> int:
             plan_kinds=plan_kinds,
             lint=not args.no_lint,
             hints=args.hints,
-            lint_mode=args.lint_mode,
         )
         for program_id, source in programs
     ]
@@ -1147,7 +1146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-steps", type=int, default=10_000_000)
     p_run.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to the reference interpreter)",
     )
     p_run.add_argument(
         "--optimize", action="store_true",
@@ -1180,7 +1180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to the reference interpreter)",
     )
     p_profile.add_argument(
         "--optimize", action="store_true",
@@ -1296,7 +1297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--backend", choices=list(BACKENDS), default="auto",
-        help="execution engine (default: auto — threaded with fallback)",
+        help="execution engine (default: auto — codegen, falling back "
+        "to the reference interpreter)",
     )
     p_batch.add_argument(
         "--json", metavar="PATH",
@@ -1339,13 +1341,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hints", action="store_true",
         help="also emit hint-level findings "
         "(REP301/304/305/306/307)",
-    )
-    p_check.add_argument(
-        "--lint-mode", choices=["dataflow", "syntactic"],
-        default="dataflow",
-        help="lint implementation: 'dataflow' (CFG dataflow framework, "
-        "default) or 'syntactic' (pre-dataflow behavior, kept for one "
-        "release)",
     )
     p_check.add_argument(
         "--json", metavar="PATH",

@@ -1,6 +1,6 @@
 """The shared cross-backend conformance harness.
 
-Every execution backend is only allowed to exist because it is
+The codegen backend is only allowed to exist because it is
 *observationally identical* to the tree-walking reference
 interpreter: same outputs, same error type and message raised at the
 same step, same node/edge/call counts, float-bit-exact ``total_cost``
@@ -39,7 +39,7 @@ from repro.workloads import builtin_sources
 from repro.workloads.generators import ProgramGenerator
 
 #: Every execution backend, reference first (it defines the truth).
-BACKENDS = ("reference", "threaded", "codegen")
+BACKENDS = ("reference", "codegen")
 
 #: Enough INPUT() values for every builtin that reads them.
 INPUTS = (2.25, 9.0, 16.0)
@@ -213,8 +213,8 @@ def assert_conformance(
 def observe_paths(program, backend: str, plan, **kwargs):
     """One path-profiled run's observable behaviour + path state.
 
-    Returns ``(observation, executor)``.  The fused backends settle
-    STOP-halted frames themselves; the reference interpreter leaves
+    Returns ``(observation, executor)``.  The codegen backend settles
+    STOP-halted frames itself; the reference interpreter leaves
     them live on the hook object, so only it needs ``finalize_run``.
     """
     executor = PathExecutor(plan)

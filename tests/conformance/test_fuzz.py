@@ -4,8 +4,8 @@ The conformance corpus only covers programs the generator naturally
 produces.  This suite perturbs those programs *structurally* — swap
 the arms of an IF, change a DO trip count, inject an early STOP,
 negate a relational, nudge a constant — and requires every mutant
-that still compiles to be bit-identical across all three backends
-(or for the codegen/threaded lowering to opt out with an explicit
+that still compiles to be bit-identical across both backends
+(or for the codegen lowering to opt out with an explicit
 :class:`LoweringError`; silent divergence is the only failure).
 
 All randomness is ``random.Random`` seeded from the case id, so every
@@ -24,7 +24,7 @@ import re
 import pytest
 
 from repro.errors import ReproError
-from repro.fastexec import LoweringError
+from repro.codegen import LoweringError
 from repro.pipeline import compile_source
 from repro.workloads.generators import ProgramGenerator
 from tests.conformance.harness import assert_conformance

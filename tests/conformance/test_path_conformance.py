@@ -1,12 +1,12 @@
 """Path-mode conformance: fused path registers vs the reference hook.
 
-The Ball–Larus path register is fused into all three backends, so it
-gets the same treatment counters do: every builtin (with and without
-an ``INPUT()`` vector) and the full 75-program generator corpus run
-path-profiled on every backend, and the observations — path-count
-spectra, STOP partials, update tallies, outputs, costs — must be
-identical down to float reprs.  Each conformant reference spectrum is
-then reconstructed and must reproduce the counter-measured
+The Ball–Larus path register is fused into the codegen backend, so
+it gets the same treatment counters do: every builtin (with and
+without an ``INPUT()`` vector) and the full 75-program generator
+corpus run path-profiled on both backends, and the observations —
+path-count spectra, STOP partials, update tallies, outputs, costs —
+must be identical down to float reprs.  Each conformant reference
+spectrum is then reconstructed and must reproduce the counter-measured
 Definition-3 ``FREQ``/``NODE_FREQ``/``TOTAL_FREQ`` bit-for-bit.
 """
 

@@ -79,6 +79,17 @@ class TestBadRequests:
         )
         assert status == 400
 
+    def test_threaded_backend_is_400(self, server):
+        status, payload = raw_post(
+            server.port,
+            "/profile",
+            json.dumps({"source": PAPER_SOURCE, "backend": "threaded"}).encode(),
+        )
+        assert status == 400
+        message = payload["error"]["message"]
+        assert '"backend"' in message
+        assert "'codegen'" in message and "'threaded'" not in message
+
     def test_unknown_route_is_404(self, server):
         status, _ = raw_post(server.port, "/nope", b"{}")
         assert status == 404
